@@ -12,10 +12,10 @@ from conftest import full_scale, write_report
 
 from repro.analysis.report import format_table
 from repro.core.erfair import ERPD2Scheduler
+from repro.core.metrics import job_response_times
 from repro.core.pd2 import PD2Scheduler
 from repro.core.rational import Weight, weight_sum
 from repro.core.task import PeriodicTask
-from repro.sim.metrics import job_response_times
 
 SETS = 100 if full_scale() else 20
 M = 2

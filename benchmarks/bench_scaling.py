@@ -10,12 +10,11 @@ human ``scaling.txt``):
   for N in {16, 64, 256} tasks on M=4, and, always, that all three
   produce identical ``(slot, processor, task)`` allocations and
   identical stats (``decisions_identical`` per grid point).
-* **Campaign speedup**: wall-clock of the small Fig. 3 campaign
-  (N=50, 10 grid points, 25 sets/point — the first loop of
-  ``bench_fig3_min_processors.py``) under the fast path (serial and with
-  the warm worker pool) vs. ``--no-fastpath``, with byte-identical rows,
-  plus the recorded pre-change *seed* baseline for the headline
-  speedup-vs-seed number.
+* **Campaign wall-clock**: the small Fig. 3 campaign (N=50, 10 grid
+  points, 25 sets/point — the first loop of
+  ``bench_fig3_min_processors.py``) serial vs. through the warm worker
+  pool, with byte-identical rows, plus the recorded pre-change *seed*
+  baseline for the headline speedup-vs-seed number.
 * **Distributed dispatch** (``distrib`` section): the same campaign
   through ``repro.distrib`` against 1 vs. 2 localhost worker *nodes*
   (subprocess ``repro worker --serve``, 2 pool jobs each) vs. the local
@@ -23,8 +22,9 @@ human ``scaling.txt``):
   with ``result.json`` byte-identical across all of them.
 
 The JSON is written with *merge* semantics: each test rewrites only its
-own section, so rerunning the throughput bench preserves the committed
-``campaign``/``distrib`` records and vice versa.
+own section, so rerunning the throughput bench preserves the existing
+``campaign``/``distrib`` records and vice versa.  ``benchmarks/out/`` is
+gitignored: the JSON is a local record, not a tracked ledger.
 
 Two reduced modes for CI:
 
@@ -50,11 +50,10 @@ from conftest import OUT_DIR, full_scale, write_report
 
 from repro.analysis.experiments import utilization_grid
 from repro.analysis.report import format_table
-from repro.campaign import run_schedulability_campaign, shutdown_worker_pool
 from repro.analysis.schedulability import ANALYSIS_CACHE
+from repro.campaign import run_schedulability_campaign, shutdown_worker_pool
 from repro.sim.cache import HYPERPERIOD_CACHE
 from repro.sim.quantum import simulate_pfair
-from repro.util.toggles import fastpath_enabled, set_fastpath
 from repro.workload.generator import TaskSetGenerator, specs_to_pfair_tasks
 
 SLOTS = 20_000 if full_scale() else 4_000
@@ -66,7 +65,7 @@ REPS = 3
 #: Wall-clock of the CAMPAIGN configuration at the growth seed
 #: (commit a480c7b^..a480c3c tree, before the fast path existed), measured
 #: with this file's protocol — best of interleaved fresh-process runs —
-#: on the host that produced the committed BENCH_scaling.json.  Recorded
+#: on the host that produced the first BENCH_scaling.json record.  Recorded
 #: as a constant so the speedup-vs-seed headline survives once the seed
 #: code paths are gone; re-measure on the same host when comparing.
 SEED_BASELINE_SECONDS = 0.691
@@ -149,64 +148,55 @@ def _merge_json(section: str, value) -> str:
     return json_path
 
 
-def _campaign_rows():
-    return run_schedulability_campaign(
-        CAMPAIGN["n_tasks"],
-        utilization_grid(CAMPAIGN["n_tasks"], points=CAMPAIGN["points"]),
-        sets_per_point=CAMPAIGN["sets_per_point"],
-        seed=CAMPAIGN["seed"],
-    )
-
-
 def _row_snapshot(rows):
     return [(r.utilization, r.m_pd2.mean, r.m_ff.mean, r.loss_pfair.mean,
              r.loss_edf.mean, r.loss_ff.mean, r.infeasible_pd2,
              r.infeasible_ff) for r in rows]
 
 
-def _timed_campaign(fastpath_on: bool, workers: int = 1):
+def _timed_campaign(workers: int = 1):
     """Best-of-REPS cold wall-clock (caches cleared per rep) and rows."""
-    prev = fastpath_enabled()
-    set_fastpath(fastpath_on)
-    try:
-        if workers > 1:  # pay pool spawn + warm-up outside the clock
-            run_schedulability_campaign(
-                CAMPAIGN["n_tasks"], [CAMPAIGN["n_tasks"] / 10.0],
-                sets_per_point=2, seed=0, workers=workers)
-        reps, rows = [], None
-        for _ in range(REPS):
-            # Clears this process's cache; a warm pool's workers keep
-            # theirs — exactly what repeat campaign invocations see in
-            # production, and visible in the per-rep times below.
-            ANALYSIS_CACHE.clear()
-            t0 = time.perf_counter()
-            rows = run_schedulability_campaign(
-                CAMPAIGN["n_tasks"],
-                utilization_grid(CAMPAIGN["n_tasks"],
-                                 points=CAMPAIGN["points"]),
-                sets_per_point=CAMPAIGN["sets_per_point"],
-                seed=CAMPAIGN["seed"], workers=workers)
-            reps.append(time.perf_counter() - t0)
-        return reps, _row_snapshot(rows)
-    finally:
-        set_fastpath(prev)
+    if workers > 1:  # pay pool spawn + warm-up outside the clock
+        run_schedulability_campaign(
+            CAMPAIGN["n_tasks"], [CAMPAIGN["n_tasks"] / 10.0],
+            sets_per_point=2, seed=0, workers=workers)
+    reps, rows = [], None
+    for _ in range(REPS):
+        # Clears this process's cache; a warm pool's workers keep
+        # theirs — exactly what repeat campaign invocations see in
+        # production, and visible in the per-rep times below.
+        ANALYSIS_CACHE.clear()
+        t0 = time.perf_counter()
+        rows = run_schedulability_campaign(
+            CAMPAIGN["n_tasks"],
+            utilization_grid(CAMPAIGN["n_tasks"], points=CAMPAIGN["points"]),
+            sets_per_point=CAMPAIGN["sets_per_point"],
+            seed=CAMPAIGN["seed"], workers=workers)
+        reps.append(time.perf_counter() - t0)
+    return reps, _row_snapshot(rows)
 
 
 def test_fastpath_decision_equality_smallest():
-    """The CI perf-smoke contract: correctness only, no timing."""
+    """The CI perf-smoke contract: correctness only, no timing.
+
+    The three kernels must agree on every decision, and campaign rows
+    served from :data:`ANALYSIS_CACHE` must equal freshly computed ones.
+    """
     _assert_sim_decisions_identical(NS[0], min(SLOTS, 2000))
-    prev = fastpath_enabled()
-    try:
-        set_fastpath(True)
-        ANALYSIS_CACHE.clear()
-        on = _row_snapshot(run_schedulability_campaign(
-            16, utilization_grid(16, points=3), sets_per_point=5, seed=16))
-        set_fastpath(False)
-        off = _row_snapshot(run_schedulability_campaign(
-            16, utilization_grid(16, points=3), sets_per_point=5, seed=16))
-    finally:
-        set_fastpath(prev)
-    assert on == off, "campaign rows differ between fastpath on and off"
+    points, sets = 3, 5
+
+    def rows():
+        return _row_snapshot(run_schedulability_campaign(
+            16, utilization_grid(16, points=points), sets_per_point=sets,
+            seed=16))
+
+    ANALYSIS_CACHE.clear()
+    cold = rows()
+    hits_before = ANALYSIS_CACHE.hits
+    cached = rows()
+    assert cold == cached, "campaign rows differ when served from the cache"
+    # Every set of the second run is a PD² hit and an EDF-FF hit.
+    assert ANALYSIS_CACHE.hits - hits_before == 2 * points * sets
 
 
 @pytest.mark.skipif(_SMOKE, reason="perf smoke runs equality checks only")
@@ -261,50 +251,44 @@ def test_kernel_throughput_and_campaign(benchmark, quick):
 
     if quick:
         # CI artifact only: no campaign timing, no JSON rewrite (the
-        # committed JSON records full-scale numbers from a quiet host).
+        # JSON records full-scale numbers from a quiet host).
         write_report("scaling.txt", table +
                      "\n\n[--quick mode: single rep, campaign timing "
-                     "skipped; committed BENCH_scaling.json untouched]")
+                     "skipped; BENCH_scaling.json untouched]")
         return
 
-    fast_reps, rows_fast = _timed_campaign(True)
-    off_reps, rows_off = _timed_campaign(False)
-    warm_reps, rows_warm = _timed_campaign(True, workers=2)
+    serial_reps, rows_serial = _timed_campaign()
+    warm_reps, rows_warm = _timed_campaign(workers=2)
     shutdown_worker_pool()
-    assert rows_fast == rows_off == rows_warm, (
-        "campaign rows must be byte-identical across fastpath modes")
-    t_fast, t_off, t_warm = min(fast_reps), min(off_reps), min(warm_reps)
-    t_best = min(t_fast, t_warm)
+    assert rows_serial == rows_warm, (
+        "campaign rows must be byte-identical serial and pooled")
+    t_serial, t_warm = min(serial_reps), min(warm_reps)
+    t_best = min(t_serial, t_warm)
 
     campaign = {
         "config": CAMPAIGN,
-        "fastpath_seconds": round(t_fast, 3),
-        "fastpath_rep_seconds": [round(t, 3) for t in fast_reps],
-        "fastpath_warm_workers_seconds": round(t_warm, 3),
-        "fastpath_warm_workers_rep_seconds":
-            [round(t, 3) for t in warm_reps],
-        "no_fastpath_seconds": round(t_off, 3),
-        "no_fastpath_rep_seconds": [round(t, 3) for t in off_reps],
+        "serial_seconds": round(t_serial, 3),
+        "serial_rep_seconds": [round(t, 3) for t in serial_reps],
+        "warm_workers_seconds": round(t_warm, 3),
+        "warm_workers_rep_seconds": [round(t, 3) for t in warm_reps],
         "seed_baseline_seconds": SEED_BASELINE_SECONDS,
         "seed_baseline_commit": SEED_BASELINE_COMMIT,
-        "speedup_vs_no_fastpath": round(t_off / t_best, 2),
         "speedup_vs_seed": round(SEED_BASELINE_SECONDS / t_best, 2),
         "rows_identical_across_modes": True,
-        "note": ("serial/no-fastpath reps are cold (caches cleared); "
-                 "warm-worker reps after the first reuse the "
-                 "persistent pool's analysis caches, the intended "
-                 "behavior of repeated campaign invocations"),
+        "note": ("serial reps are cold (caches cleared); warm-worker "
+                 "reps after the first reuse the persistent pool's "
+                 "analysis caches, the intended behavior of repeated "
+                 "campaign invocations"),
         "rows": [{"utilization": round(r[0], 4),
                   "m_pd2_mean": round(r[1], 4),
-                  "m_ff_mean": round(r[2], 4)} for r in rows_fast],
+                  "m_ff_mean": round(r[2], 4)} for r in rows_serial],
     }
     json_path = _merge_json("simulator", sim_points)
     _merge_json("campaign", campaign)
 
     campaign_lines = (
         f"Fig. 3 campaign (N=50, 10 pts, 25 sets): "
-        f"fastpath {t_fast:.3f}s | warm x2 {t_warm:.3f}s | "
-        f"no-fastpath {t_off:.3f}s | seed baseline "
+        f"serial {t_serial:.3f}s | warm x2 {t_warm:.3f}s | seed baseline "
         f"{SEED_BASELINE_SECONDS:.3f}s "
         f"({campaign['speedup_vs_seed']}x vs seed)")
     write_report("scaling.txt", table + "\n\n" + campaign_lines +

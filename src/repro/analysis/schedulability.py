@@ -41,7 +41,6 @@ from ..overheads.model import OverheadModel
 from ..partition.heuristics import PartitionFailure
 from ..partition.partitioner import edf_ff
 from ..util.lru import LRUCache
-from ..util.toggles import fastpath_enabled
 from ..workload.spec import TaskSpec, total_utilization
 
 __all__ = [
@@ -121,14 +120,13 @@ def _pd2_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
     key or the exact total utilization pass them in.
     """
     ckey = None
-    if fastpath_enabled():
-        if digest is _UNSET:
-            digest = task_set_cache_key(specs, model)
-        if digest is not None:
-            ckey = ("pd2", digest, cap)
-            hit = ANALYSIS_CACHE.get(ckey)
-            if hit is not None:
-                return hit
+    if digest is _UNSET:
+        digest = task_set_cache_key(specs, model)
+    if digest is not None:
+        ckey = ("pd2", digest, cap)
+        hit = ANALYSIS_CACHE.get(ckey)
+        if hit is not None:
+            return hit
     result: Tuple[Optional[int], Optional[float], int] = (None, None, 0)
     u_raw = total_utilization(specs) if u_total is None else u_total
     m = max(1, -(-u_raw.numerator // u_raw.denominator))  # ceil
@@ -181,14 +179,13 @@ def _edf_ff_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
     """The EDF-FF packing, cached: ``(processors, packed inflated
     utilization)``, both ``None`` on packing failure."""
     ckey = None
-    if fastpath_enabled():
-        if digest is _UNSET:
-            digest = task_set_cache_key(specs, model)
-        if digest is not None:
-            ckey = ("edfff", digest)
-            hit = ANALYSIS_CACHE.get(ckey)
-            if hit is not None:
-                return hit
+    if digest is _UNSET:
+        digest = task_set_cache_key(specs, model)
+    if digest is not None:
+        ckey = ("edfff", digest)
+        hit = ANALYSIS_CACHE.get(ckey)
+        if hit is not None:
+            return hit
     try:
         packing = edf_ff(specs,
                          overhead_inflation=model.edf_fixed_inflation(len(specs)))
@@ -256,8 +253,7 @@ def evaluate_task_set(specs: Sequence[TaskSpec],
     u_exact = total_utilization(specs)
     u_raw = float(u_exact)
     if specs:
-        digest = (task_set_cache_key(specs, model) if fastpath_enabled()
-                  else _UNSET)
+        digest = task_set_cache_key(specs, model)
         m_pd2, u_pd2, iters = _pd2_analysis(specs, model, len(specs),
                                             digest, u_exact)
         m_ff, u_edf = _edf_ff_analysis(specs, model, digest)

@@ -2,8 +2,8 @@
 
 Spawning a ``ProcessPoolExecutor`` per campaign call re-pays worker
 startup and the heavy analysis imports on every figure; instead one warm
-pool is kept for the life of the process, keyed by ``(workers,
-fastpath_enabled())``, and torn down at exit.  This logic lived in
+pool is kept for the life of the process, keyed by its worker count,
+and torn down at exit.  This logic lived in
 ``analysis/experiments.py`` as a pair of main-thread-confined module
 globals; the campaign engine needs more from it — the runner must be
 able to *discard* a pool whose worker died (``BrokenProcessPool``
@@ -13,10 +13,9 @@ globals became :class:`WorkerPool`, a class whose every mutating method
 runs under its own ``RLock`` (the synchronization pattern staticcheck
 R007 recognises, same as :class:`repro.util.lru.LRUCache`).
 
-Workers are initialised once with :func:`_warm_init`: they inherit the
-parent's fast-path toggle and pre-import the analysis chain, so the
-first shard dispatched to a fresh worker doesn't pay import latency
-inside its timeout budget.
+Workers are initialised once with :func:`_warm_init`, which pre-imports
+the analysis chain, so the first shard dispatched to a fresh worker
+doesn't pay import latency inside its timeout budget.
 """
 
 from __future__ import annotations
@@ -24,28 +23,22 @@ from __future__ import annotations
 import atexit
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Tuple
-
-from ..util.toggles import fastpath_enabled, vector_enabled
+from typing import Optional
 
 __all__ = ["WorkerPool", "worker_pool", "discard_worker_pool",
            "shutdown_worker_pool"]
 
 
-def _warm_init(fastpath_on: bool, vector_on: bool = True) -> None:
-    """Worker initializer: inherit the kernel toggles and pay the heavy
-    imports once per worker instead of once per shard."""
-    from ..util.toggles import set_fastpath, set_vector
-
-    set_fastpath(fastpath_on)
-    set_vector(vector_on)
+def _warm_init() -> None:
+    """Worker initializer: pay the heavy imports once per worker instead
+    of once per shard."""
     from ..analysis import schedulability  # noqa: F401  (pulls in the chain)
 
 
 class WorkerPool:
     """Lock-synchronized owner of one warm ``ProcessPoolExecutor``.
 
-    All state transitions (lazy build, config-change rebuild, discard
+    All state transitions (lazy build, resize rebuild, discard
     after worker death, final shutdown) happen under ``self._lock``, so
     the campaign CLI, the service's batch path, and the atexit hook can
     share the singleton without racing.  The executor itself is
@@ -56,23 +49,19 @@ class WorkerPool:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._config: Optional[Tuple[int, bool, bool]] = None
+        self._workers: Optional[int] = None
 
     def get(self, workers: int) -> ProcessPoolExecutor:
         """The warm pool for ``workers``, built or rebuilt on demand.
 
-        A config change (worker count or fast-path toggle) retires the
-        old pool first, so stale workers never serve new campaigns with
-        the wrong toggle state.
+        A different worker count retires the old pool first.
         """
-        config = (workers, fastpath_enabled(), vector_enabled())
         with self._lock:
-            if self._pool is None or self._config != config:
+            if self._pool is None or self._workers != workers:
                 self.shutdown()
                 self._pool = ProcessPoolExecutor(max_workers=workers,
-                                                 initializer=_warm_init,
-                                                 initargs=config[1:])
-                self._config = config
+                                                 initializer=_warm_init)
+                self._workers = workers
             return self._pool
 
     def discard(self) -> None:
@@ -86,7 +75,7 @@ class WorkerPool:
             if self._pool is not None:
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
-                self._config = None
+                self._workers = None
 
     def shutdown(self) -> None:
         """Tear down the warm pool, waiting for workers (idempotent)."""
@@ -94,7 +83,7 @@ class WorkerPool:
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
                 self._pool = None
-                self._config = None
+                self._workers = None
 
 
 #: Process-wide singleton: one warm pool shared by the CLI campaign

@@ -45,8 +45,7 @@ assembly — stays deterministic.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, \
-    wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -56,7 +55,6 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 
 from ..analysis.schedulability import SchedulabilityPoint
 from ..overheads.model import OverheadModel
-from ..util.toggles import fastpath_enabled
 from .checkpoint import CheckpointStore, RunDirError
 from .pool import discard_worker_pool, worker_pool
 from .progress import ProgressTracker
@@ -197,25 +195,6 @@ def dispatch_jobs(jobs: Mapping[str, Any],
         return _dispatch_serial(order, jobs, worker, config,
                                 on_success, on_retry, on_tick)
 
-    # --no-fastpath keeps the historical throwaway pool for A/B runs;
-    # otherwise the warm shared pool (repro.campaign.pool) is used and
-    # survives this call.
-    use_warm = fastpath_enabled()
-    ephemeral: List[ProcessPoolExecutor] = []
-
-    def get_pool() -> ProcessPoolExecutor:
-        if use_warm:
-            return worker_pool(config.workers)
-        if not ephemeral:
-            ephemeral.append(ProcessPoolExecutor(max_workers=config.workers))
-        return ephemeral[0]
-
-    def retire_pool() -> None:
-        if use_warm:
-            discard_worker_pool()
-        elif ephemeral:
-            ephemeral.pop().shutdown(wait=False, cancel_futures=True)
-
     #: (not-before monotonic time, key) — work awaiting (re)submission.
     queue: List[Tuple[float, str]] = [(0.0, key) for key in order]
     pending: Dict[Future, _Attempt] = {}
@@ -245,76 +224,72 @@ def dispatch_jobs(jobs: Mapping[str, Any],
                     on_retry(att.key, "worker-death")
                 queue.append((now + config.backoff_seconds, att.key))
         pending.clear()
-        retire_pool()
+        discard_worker_pool()
         if rebuilds > config.max_pool_rebuilds:
             for _, key in queue:
                 failed.add(key)
             queue.clear()
 
     last_tick = time.monotonic()
-    try:
-        while queue or pending:
-            now = time.monotonic()
-            due = [item for item in queue if item[0] <= now]
-            queue[:] = [item for item in queue if item[0] > now]
-            for i, (not_before, key) in enumerate(due):
-                if key in finished or key in failed:
-                    continue
-                try:
-                    fut = get_pool().submit(worker, jobs[key])
-                except BrokenProcessPool:
-                    # Everything not yet submitted goes back too — `due`
-                    # was already carved out of the queue, so requeuing
-                    # only the current item would silently drop the rest.
-                    queue.extend(due[i:])
-                    handle_pool_death(now)
-                    break
-                pending[fut] = _Attempt(key, failures.get(key, 0) + 1, now)
-
-            if pending:
-                done_futs, _ = wait(list(pending),
-                                    timeout=config.poll_interval_seconds,
-                                    return_when=FIRST_COMPLETED)
-            else:
-                done_futs = set()
-                if queue:
-                    time.sleep(config.poll_interval_seconds)
-
-            now = time.monotonic()
-            died = False
-            for fut in _completion_order(done_futs, pending):
-                att = pending.pop(fut, None)
-                if att is None or att.key in finished or att.key in failed:
-                    continue  # stale attempt abandoned by a timeout
-                exc = fut.exception()
-                if exc is None:
-                    finished.add(att.key)
-                    on_success(att.key, fut.result(), att.attempt,
-                               now - att.submitted_at)
-                elif isinstance(exc, BrokenProcessPool):
-                    if on_retry is not None:
-                        on_retry(att.key, "worker-death")
-                    queue.append((now + config.backoff_seconds, att.key))
-                    died = True
-                else:
-                    charge(att.key, "error", now)
-            if died:
+    while queue or pending:
+        now = time.monotonic()
+        due = [item for item in queue if item[0] <= now]
+        queue[:] = [item for item in queue if item[0] > now]
+        for i, (not_before, key) in enumerate(due):
+            if key in finished or key in failed:
+                continue
+            try:
+                fut = worker_pool(config.workers).submit(worker, jobs[key])
+            except BrokenProcessPool:
+                # Everything not yet submitted goes back too — `due`
+                # was already carved out of the queue, so requeuing
+                # only the current item would silently drop the rest.
+                queue.extend(due[i:])
                 handle_pool_death(now)
+                break
+            pending[fut] = _Attempt(key, failures.get(key, 0) + 1, now)
 
-            if config.shard_timeout is not None:
-                for fut, att in list(pending.items()):
-                    if now - att.submitted_at > config.shard_timeout:
-                        del pending[fut]
-                        fut.cancel()  # best-effort; running tasks persist
-                        charge(att.key, "timeout", now)
+        if pending:
+            done_futs, _ = wait(list(pending),
+                                timeout=config.poll_interval_seconds,
+                                return_when=FIRST_COMPLETED)
+        else:
+            done_futs = set()
+            if queue:
+                time.sleep(config.poll_interval_seconds)
 
-            if on_tick is not None and \
-                    now - last_tick >= config.status_interval_seconds:
-                on_tick()
-                last_tick = now
-    finally:
-        if ephemeral:
-            ephemeral[0].shutdown(wait=False, cancel_futures=True)
+        now = time.monotonic()
+        died = False
+        for fut in _completion_order(done_futs, pending):
+            att = pending.pop(fut, None)
+            if att is None or att.key in finished or att.key in failed:
+                continue  # stale attempt abandoned by a timeout
+            exc = fut.exception()
+            if exc is None:
+                finished.add(att.key)
+                on_success(att.key, fut.result(), att.attempt,
+                           now - att.submitted_at)
+            elif isinstance(exc, BrokenProcessPool):
+                if on_retry is not None:
+                    on_retry(att.key, "worker-death")
+                queue.append((now + config.backoff_seconds, att.key))
+                died = True
+            else:
+                charge(att.key, "error", now)
+        if died:
+            handle_pool_death(now)
+
+        if config.shard_timeout is not None:
+            for fut, att in list(pending.items()):
+                if now - att.submitted_at > config.shard_timeout:
+                    del pending[fut]
+                    fut.cancel()  # best-effort; running tasks persist
+                    charge(att.key, "timeout", now)
+
+        if on_tick is not None and \
+                now - last_tick >= config.status_interval_seconds:
+            on_tick()
+            last_tick = now
     return sorted(failed)
 
 

@@ -42,9 +42,9 @@ from .campaign import (RunnerConfig, run_schedulability_campaign,
                        shutdown_worker_pool)
 from .analysis.schedulability import edf_ff_min_processors, pd2_min_processors
 from .core.task import PeriodicTask, TaskSet
+from .core.trace import render_schedule, render_windows
 from .overheads.model import OverheadModel
 from .sim.quantum import simulate_pfair
-from .sim.trace import render_schedule, render_windows
 from .traces.mapping import MAPPING_POLICIES as MAPPING_POLICY_CHOICES
 from .workload.spec import TaskSpec
 
@@ -81,22 +81,7 @@ def _cmd_windows(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_fastpath_flag(args: argparse.Namespace) -> None:
-    """Honour ``--no-fastpath`` / ``--no-vector``: force reference (or
-    non-vector) implementations process-wide (campaign workers inherit
-    through the pool initializer)."""
-    if getattr(args, "no_fastpath", False):
-        from .util.toggles import set_fastpath
-
-        set_fastpath(False)
-    if getattr(args, "no_vector", False):
-        from .util.toggles import set_vector
-
-        set_vector(False)
-
-
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    _apply_fastpath_flag(args)
     tasks = [PeriodicTask(e, p, name=f"T{i}")
              for i, (e, p) in enumerate(args.weights)]
     ts = TaskSet(tasks)
@@ -164,7 +149,6 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 def _campaign(args: argparse.Namespace,
               formatter: Callable[..., str]) -> int:
-    _apply_fastpath_flag(args)
     grid = utilization_grid(args.tasks, points=args.points)
     rows = run_schedulability_campaign(
         args.tasks, grid, sets_per_point=args.sets, seed=args.seed,
@@ -345,7 +329,6 @@ def _run_trace_cli(args: argparse.Namespace, *, grid: "object",
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    _apply_fastpath_flag(args)
     if args.trace is not None:
         return _run_trace_cli(args, grid=None, resume=False)
     grid = utilization_grid(args.tasks, points=args.points)
@@ -355,7 +338,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    _apply_fastpath_flag(args)
     from .campaign import CheckpointStore, RunDirError
 
     store = CheckpointStore(args.run_dir)
@@ -633,11 +615,6 @@ def _add_campaign_commands(sub: "argparse._SubParsersAction[argparse.ArgumentPar
                              "(worker deaths are recovered unbudgeted)")
         cp.add_argument("--fig", type=int, choices=(3, 4), default=3,
                         help="which table to print from the finished rows")
-        cp.add_argument("--no-fastpath", action="store_true",
-                        help="force the reference analysis code paths")
-        cp.add_argument("--no-vector", action="store_true",
-                        help="disable the struct-of-arrays PD² kernel "
-                             "(keep the packed-key fast path)")
 
     cp = csub.add_parser("run", help="start a checkpointed campaign")
     cp.add_argument("run_dir", help="run directory (created if missing)")
@@ -825,7 +802,6 @@ def _add_traces_commands(sub: "argparse._SubParsersAction[argparse.ArgumentParse
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    _apply_fastpath_flag(args)
     from .distrib import WorkerServer
 
     server = WorkerServer(args.host, args.port, jobs=args.jobs,
@@ -864,11 +840,6 @@ def _add_worker_command(sub: "argparse._SubParsersAction[argparse.ArgumentParser
     p.add_argument("--heartbeat", type=float, default=1.0,
                    metavar="SECONDS",
                    help="liveness frame interval while a shard computes")
-    p.add_argument("--no-fastpath", action="store_true",
-                   help="force the reference analysis code paths")
-    p.add_argument("--no-vector", action="store_true",
-                   help="disable the struct-of-arrays PD² kernel "
-                        "(keep the packed-key fast path)")
     p.set_defaults(fn=_cmd_worker)
 
 
@@ -935,12 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processor count (default: ceil of total weight)")
     p.add_argument("--horizon", type=int, default=0,
                    help="slots to simulate (default: 2 hyperperiods, <= 200)")
-    p.add_argument("--no-fastpath", action="store_true",
-                   help="force the reference simulator (disable the "
-                        "packed-key PD² fast path)")
-    p.add_argument("--no-vector", action="store_true",
-                   help="disable the struct-of-arrays PD² kernel "
-                        "(keep the packed-key fast path)")
     p.add_argument("--width", type=int, default=60,
                    help="columns of schedule to print")
     p.set_defaults(fn=_cmd_schedule)
@@ -983,12 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "--workers is an alias)")
         p.add_argument("--save", default=None,
                        help="write the campaign rows to this JSON file")
-        p.add_argument("--no-fastpath", action="store_true",
-                       help="force the reference analysis/simulation code "
-                            "paths (disable caches and fast paths)")
-        p.add_argument("--no-vector", action="store_true",
-                       help="disable the struct-of-arrays PD² kernel "
-                            "(keep the packed-key fast path)")
         p.set_defaults(fn=fn)
 
     _add_campaign_commands(sub)

@@ -24,7 +24,7 @@ See ``docs/SERVICE.md`` for the wire protocol and
 ``examples/admission_service_demo.py`` for an end-to-end drive.
 """
 
-from .cache import LRUCache
+from ..util.lru import LRUCache
 from .client import (AdmissionClient, AsyncAdmissionClient,
                      ServiceResponseError)
 from .metrics import LatencyHistogram, MetricsRegistry

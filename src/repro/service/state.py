@@ -10,7 +10,7 @@ mutating ones run serialised.  It composes three pieces of the library:
 * the overhead-aware analyses of :mod:`repro.analysis.schedulability`,
   reporting the minimum processor count under PD² and EDF-FF for every
   requested set;
-* an :class:`~repro.service.cache.LRUCache` over those analyses, keyed
+* an :class:`~repro.util.lru.LRUCache` over those analyses, keyed
   by the canonical task-set hash so repeated queries are O(1).
 
 The cache keyspace is shared with the analysis layer: this instance's
@@ -44,8 +44,8 @@ from ..core.dynamic import DynamicPfairSystem
 from ..core.rational import weight_sum
 from ..core.task import PeriodicTask
 from ..overheads.model import OverheadModel
+from ..util.lru import LRUCache
 from ..workload.spec import TaskSpec
-from .cache import LRUCache
 
 __all__ = ["ServiceError", "ServiceState"]
 

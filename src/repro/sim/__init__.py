@@ -1,9 +1,10 @@
 """Simulation substrate: quantum-driven multiprocessor and event-driven
 uniprocessor simulators, traces, metrics, and schedule validators."""
 
+from ..core.metrics import DeadlineMiss, SimStats, TaskStats, job_response_times
+from ..core.trace import Allocation, ScheduleTrace, render_schedule, render_windows
 from .cache import CacheModel, ColdResumptions, count_cold_resumptions
 from .export import result_to_dict, result_to_json, trace_to_csv, trace_to_rows
-from .metrics import DeadlineMiss, SimStats, TaskStats, job_response_times
 from .servers import TotalBandwidthServer
 from .staggered import StaggeredResult, StaggeredSimulator, simulate_staggered
 from .varquantum import (
@@ -12,7 +13,6 @@ from .varquantum import (
     simulate_variable_quantum,
 )
 from .quantum import DeadlineMissError, QuantumSimulator, SimResult, simulate_pfair
-from .trace import Allocation, ScheduleTrace, render_schedule, render_windows
 from .vector import VectorPD2Simulator
 from .validate import (
     ValidationError,

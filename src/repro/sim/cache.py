@@ -27,7 +27,7 @@ points in time is determined by a small amount of boundary state:
   compresses to a tiny signature per task (relative eligibility, relative
   subtask index, processor affinity); when a signature repeats, the
   schedule between the two boundaries repeats forever after, so the
-  per-cycle :class:`~repro.sim.metrics.SimStats` delta can be *tiled*
+  per-cycle :class:`~repro.core.metrics.SimStats` delta can be *tiled*
   across the remaining horizon instead of re-simulated.
   :class:`HyperperiodMemo` implements the boundary sampling, cycle
   detection and tiling; :data:`HYPERPERIOD_CACHE` remembers measured
@@ -45,8 +45,8 @@ import numpy as np
 
 from ..core.keytab import unpack_key
 from ..core.task import PfairTask
+from ..core.trace import ScheduleTrace
 from ..util.lru import LRUCache
-from .trace import ScheduleTrace
 
 if TYPE_CHECKING:
     from ..core.quantum import QuantumSimulator

@@ -14,8 +14,8 @@ import io
 import json
 from typing import Any, Dict, List
 
+from ..core.trace import ScheduleTrace
 from .quantum import SimResult
-from .trace import ScheduleTrace
 
 __all__ = [
     "trace_to_rows",

@@ -2,7 +2,7 @@
 
 :class:`FastPD2Simulator` produces, slot for slot, the same schedule —
 the same ``(slot, processor, task)`` allocations and the same
-:class:`~repro.sim.metrics.SimStats` — as
+:class:`~repro.core.metrics.SimStats` — as
 :class:`~repro.sim.quantum.QuantumSimulator` under
 :class:`~repro.core.priority.PD2Priority`, for synchronous/asynchronous
 periodic task systems.  It gets there by removing every source of
@@ -32,8 +32,8 @@ priority-key order all three simulator tiers share; misses recorded
 during the run (late completions) follow the schedule order.
 
 Use :func:`repro.sim.quantum.simulate_pfair`, which dispatches here
-automatically when :func:`supports` says the configuration qualifies and
-the fast path is enabled (see :mod:`repro.util.toggles`).  The
+automatically when :func:`supports` says the configuration qualifies
+(unless the call passes ``fastpath=False``).  The
 struct-of-arrays kernel (:mod:`repro.sim.vector`) sits one tier above
 and takes precedence when it supports the configuration.
 """
@@ -53,11 +53,11 @@ from ..core.keytab import (
     task_key_table,
     unpack_key,
 )
+from ..core.metrics import DeadlineMiss, SimStats, TaskStats
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PeriodicTask, PfairTask
-from .metrics import DeadlineMiss, SimStats, TaskStats
+from ..core.trace import ScheduleTrace
 from .quantum import DeadlineMissError, SimResult
-from .trace import ScheduleTrace
 
 __all__ = ["FastPD2Simulator", "supports"]
 

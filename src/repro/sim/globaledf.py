@@ -9,7 +9,7 @@ all M processors first (earlier deadlines / shorter periods), and the heavy
 job then cannot finish by its deadline even though total utilization tends
 to 1 as ε → 0.
 
-This simulator is event-driven like :mod:`repro.sim.uniproc` but keeps the
+This simulator is event-driven like :mod:`repro.core.uniproc` but keeps the
 ``M`` highest-priority ready jobs running; it exists to demonstrate that
 baseline, and to contrast it with PD² (which schedules the same sets with
 no misses whenever total utilization is at most M).
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .engine import EventQueue
-from .uniproc import UniJob, UniTask
+from ..core.events import EventQueue
+from ..core.uniproc import UniJob, UniTask
 
 __all__ = ["GlobalResult", "GlobalSimulator", "simulate_global", "dhall_task_set"]
 

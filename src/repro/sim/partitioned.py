@@ -3,7 +3,7 @@
 Under partitioning each processor schedules its own task subset from a
 local queue, completely independently — which is why the paper notes that
 partitioned scheduling overhead does not grow with the processor count.
-This façade runs one :class:`~repro.sim.uniproc.UniprocSimulator` per
+This façade runs one :class:`~repro.core.uniproc.UniprocSimulator` per
 processor bin of a packing and aggregates the results; it also provides
 the Sec. 5.4 fault-tolerance experiment — killing a processor and trying
 to re-home its tasks by first fit into the survivors' spare capacity,
@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..core.uniproc import UniprocResult, UniprocSimulator, UniTask
 from ..partition.accept import AcceptanceTest, EDFUtilizationTest
 from ..partition.bins import Partition
 from ..workload.spec import TaskSpec
-from .uniproc import UniprocResult, UniprocSimulator, UniTask
 
 __all__ = ["PartitionedResult", "PartitionedSimulator", "reassign_after_failure"]
 

@@ -6,9 +6,10 @@ argument rests on (PD² is defined by what the engine does each slot), so
 the layering pass (rule R003) homes it in ``core`` beneath the
 campaign-level simulators.  What belongs at the ``sim`` layer is the
 dispatch between decision-identical implementations: ``simulate_pfair``
-picks the packed-key fast path (:mod:`repro.sim.fastpath`) when it
-supports the configuration and the reference engine otherwise.  The
-historical ``repro.sim.quantum`` import path keeps working for both.
+picks the vector kernel (:mod:`repro.sim.vector`) or the packed-key
+fast path (:mod:`repro.sim.fastpath`) when one supports the
+configuration and the reference engine otherwise.  The historical
+``repro.sim.quantum`` import path keeps working for both.
 """
 
 from __future__ import annotations
@@ -39,30 +40,20 @@ def simulate_pfair(
     :class:`~repro.sim.vector.VectorPD2Simulator` when it supports the
     configuration, else the packed-key
     :class:`~repro.sim.fastpath.FastPD2Simulator`, else the reference
-    :class:`QuantumSimulator`.  Each tier has an independent toggle
-    (:mod:`repro.util.toggles`): ``vector=False`` / ``--no-vector`` /
-    ``REPRO_NO_VECTOR=1`` skips the vector kernel, ``fastpath=False`` /
-    ``--no-fastpath`` / ``REPRO_NO_FASTPATH=1`` forces the reference
+    :class:`QuantumSimulator`.  By default each tier's ``supports()``
+    alone decides.  The keywords select tiers per call: ``vector=False``
+    skips the vector kernel, ``fastpath=False`` forces the reference
     (it disables the vector tier too — both accelerated kernels are
     "the fast path" from the caller's point of view).  Passing
     ``vector=True`` or ``fastpath=True`` *requires* that tier and raises
     if the configuration is unsupported.
     """
     task_list = list(tasks)
+    explicit, explicit_vector = bool(fastpath), bool(vector)
     if fastpath is None:
-        from ..util.toggles import fastpath_enabled
-
-        fastpath = fastpath_enabled()
-        explicit = False
-    else:
-        explicit = fastpath
+        fastpath = True
     if vector is None:
-        from ..util.toggles import vector_enabled
-
-        vector = fastpath and vector_enabled()
-        explicit_vector = False
-    else:
-        explicit_vector = vector
+        vector = fastpath
     if vector:
         from .vector import VectorPD2Simulator
         from .vector import supports as vector_supports

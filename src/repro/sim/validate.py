@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from ..core.task import PfairTask
-from .trace import ScheduleTrace
+from ..core.trace import ScheduleTrace
 
 __all__ = [
     "ValidationError",

@@ -36,9 +36,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Tuple
 
+from ..core.events import EventQueue
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PfairTask, Subtask
-from .engine import EventQueue
 
 __all__ = ["VariableQuantumResult", "VariableQuantumSimulator",
            "simulate_variable_quantum"]

@@ -5,7 +5,7 @@ stack — reference (:class:`~repro.core.quantum.QuantumSimulator`) →
 packed-key fastpath (:mod:`repro.sim.fastpath`) → this kernel — and like
 the fastpath it is *decision-identical* to the reference: same
 allocations (slot, processor, task, subtask), same
-:class:`~repro.sim.metrics.SimStats`, same miss records in the same
+:class:`~repro.core.metrics.SimStats`, same miss records in the same
 order.  The differential suite (``tests/test_fastpath_differential.py``,
 ``tests/test_sim_vector.py``) pins the identity three ways across
 randomized systems including early release, nonzero phases, overload and
@@ -81,9 +81,9 @@ is int64 (or bool), enforced by staticcheck rule R001, which gates this
 file to integer dtypes and flags any float dtype or true division.
 
 Use :func:`repro.sim.quantum.simulate_pfair`, which dispatches here
-automatically when :func:`supports` accepts the configuration and the
-toggle (``--no-vector`` / ``REPRO_NO_VECTOR``, :mod:`repro.util.toggles`)
-is on, falling back vector → fastpath → reference.
+automatically when :func:`supports` accepts the configuration (unless
+the call passes ``vector=False`` or ``fastpath=False``), falling back
+vector → fastpath → reference.
 """
 
 from __future__ import annotations
@@ -94,11 +94,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..core.keytab import _column_base
+from ..core.metrics import DeadlineMiss, SimStats, TaskStats
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PeriodicTask, PfairTask
-from .metrics import DeadlineMiss, SimStats, TaskStats
+from ..core.trace import ScheduleTrace
 from .quantum import DeadlineMissError, SimResult
-from .trace import ScheduleTrace
 
 __all__ = ["VectorPD2Simulator", "supports"]
 

@@ -15,7 +15,8 @@ Rules (see :mod:`repro.staticcheck.rules` and docs/STATIC_ANALYSIS.md):
   in the vectorized kernel (``sim/vector.py``) is gated to integer
   dtypes.
 * **R002 determinism** — no seedless RNGs, wall-clock reads, or
-  environment reads outside ``util/toggles.py`` in ``core/`` + ``sim/``.
+  environment reads in ``core/`` + ``sim/`` (configuration is passed
+  as explicit parameters).
 * **R003 layering** — the import DAG ``util → core → workload →
   overheads/partition → sim → … → analysis/service`` admits no upward
   imports and no package cycles.

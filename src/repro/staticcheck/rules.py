@@ -243,8 +243,8 @@ class DeterminismRule(Rule):
     resume: the SWF parser and job→task mapping must be pure functions
     of the log, and the replay worker's only randomness is the
     planner-seeded ``default_rng`` (per docs/DETERMINISM.md).
-    Environment toggles live in ``util/toggles.py`` — the one
-    sanctioned read point.
+    Configuration reaches these packages as explicit parameters, never
+    through the environment.
     """
 
     rule_id = "R002"
@@ -319,8 +319,8 @@ class DeterminismRule(Rule):
             if names & {"environ", "getenv"}:
                 yield self._violation(
                     module, node,
-                    "environment read — route toggles through "
-                    "util/toggles.py")
+                    "environment read — pass configuration as an "
+                    "explicit parameter")
 
     def _check_attribute(self, module: ModuleInfo, node: ast.Attribute,
                          random_aliases: Set[str], time_aliases: Set[str],
@@ -350,8 +350,8 @@ class DeterminismRule(Rule):
             elif base.id in os_aliases and node.attr in ("environ", "getenv"):
                 yield self._violation(
                     module, node,
-                    f"os.{node.attr}: environment read — route toggles "
-                    "through util/toggles.py")
+                    f"os.{node.attr}: environment read — pass "
+                    "configuration as an explicit parameter")
         elif isinstance(base, ast.Attribute):
             # np.random.<fn> — legacy global RNG unless explicitly seeded.
             if isinstance(base.value, ast.Name) and \

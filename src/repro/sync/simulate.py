@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.task import PfairTask
-from ..sim.trace import ScheduleTrace
+from ..core.trace import ScheduleTrace
 
 __all__ = ["LockingOutcome", "overlay_critical_sections"]
 

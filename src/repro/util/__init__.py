@@ -2,13 +2,10 @@
 
 Lives below every other package (``core``, ``sim``, ``analysis``,
 ``service`` all may import it) so that infrastructure like the LRU cache
-and the fast-path toggle can be shared without import cycles.
+and the metrics registry can be shared without import cycles.
 """
 
 from .lru import LRUCache
 from .metrics import Counter, LatencyHistogram, MetricsRegistry
-from .toggles import fastpath_enabled, set_fastpath, set_vector, vector_enabled
 
-__all__ = ["LRUCache", "fastpath_enabled", "set_fastpath",
-           "vector_enabled", "set_vector",
-           "Counter", "LatencyHistogram", "MetricsRegistry"]
+__all__ = ["LRUCache", "Counter", "LatencyHistogram", "MetricsRegistry"]

@@ -6,7 +6,7 @@ schedulability machinery consumes — integer execution cost and period in
 context switch C = 5 µs, cache delay D(T) ~ U[0, 100] µs, quantum
 q = 1000 µs).  Specs are immutable; simulators instantiate them into
 :class:`~repro.core.task.PeriodicTask` (after quantisation) or
-:class:`~repro.sim.uniproc.UniTask` as needed.
+:class:`~repro.core.uniproc.UniTask` as needed.
 """
 
 from __future__ import annotations

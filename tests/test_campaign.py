@@ -263,6 +263,37 @@ class TestDispatch:
         assert dispatch_jobs({}, fw.flaky_job, RunnerConfig(),
                              on_success=lambda *a: None) == []
 
+    def test_parallel_calls_reuse_the_warm_pool(self, tmp_path, monkeypatch):
+        import repro.campaign.runner as runner_mod
+
+        used = []  # keeps every executor alive, so ids stay unique
+        real = runner_mod.worker_pool
+
+        def recording_pool(workers):
+            used.append(real(workers))
+            return used[-1]
+
+        monkeypatch.setattr(runner_mod, "worker_pool", recording_pool)
+
+        def executors_of_one_call(tag):
+            start = len(used)
+            jobs = {f"{tag}{i}": {"fuse": str(tmp_path / f"{tag}{i}"),
+                                  "value": i} for i in range(2)}
+            for job in jobs.values():
+                open(job["fuse"], "w").close()  # succeed first try
+            done, _retries, failed = self.run_jobs(
+                jobs, fw.flaky_job, RunnerConfig(workers=2, **FAST))
+            assert failed == [] and len(done) == 2
+            return {id(pool) for pool in used[start:]}
+
+        discard_worker_pool()
+        first = executors_of_one_call("a")
+        second = executors_of_one_call("b")
+        assert len(first) == 1 and first == second
+        discard_worker_pool()
+        third = executors_of_one_call("c")
+        assert len(third) == 1 and third.isdisjoint(first)
+
 
 # ---------------------------------------------------------------------------
 # Runner: checkpointed runs, crash-resume byte identity

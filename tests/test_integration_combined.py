@@ -17,11 +17,11 @@ from repro.core.dynamic import DynamicPfairSystem
 from repro.core.pd2 import PD2Scheduler
 from repro.core.supertask import Supertask, SupertaskSystem
 from repro.core.task import IntraSporadicTask, PeriodicTask, SporadicTask
+from repro.core.uniproc import UniTask, simulate_uniproc
 from repro.fault.failures import FailureEvent, pd2_with_failures
 from repro.sim.export import result_to_dict
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
 from repro.sim.staggered import simulate_staggered
-from repro.sim.uniproc import UniTask, simulate_uniproc
 
 
 class TestOverloadBehaviour:

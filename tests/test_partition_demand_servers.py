@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.uniproc import UniprocSimulator, UniTask, simulate_uniproc
 from repro.partition.bins import ProcessorBin
 from repro.partition.demand import EDFDemandTest, demand_bound, edf_feasible
 from repro.partition.demand import testing_points as dbf_points
 from repro.partition.heuristics import partition
 from repro.sim.servers import TotalBandwidthServer
-from repro.sim.uniproc import UniprocSimulator, UniTask, simulate_uniproc
 from repro.workload.spec import TaskSpec
 
 
@@ -179,7 +179,7 @@ class TestTBS:
     def test_lying_request_breaks_isolation_cbs_does_not(self):
         """The TBS/CBS contrast: a request that executes beyond its
         declared cost steals periodic slack under TBS, but not under CBS."""
-        from repro.sim.uniproc import CBSServer
+        from repro.core.uniproc import CBSServer
 
         victim = UniTask(3, 6, name="victim")
         # Declared cost 1 per request at bandwidth 1/2; actual cost 4.

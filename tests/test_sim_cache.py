@@ -5,9 +5,9 @@ import pytest
 
 from conftest import make_feasible_set
 from repro.core.task import PeriodicTask
+from repro.core.trace import ScheduleTrace
 from repro.sim.cache import CacheModel, count_cold_resumptions
 from repro.sim.quantum import simulate_pfair
-from repro.sim.trace import ScheduleTrace
 
 
 class TestCounting:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.task import PeriodicTask
+from repro.core.uniproc import UniTask
 from repro.partition.heuristics import first_fit
 from repro.sim.globaledf import (
     GlobalSimulator,
@@ -14,7 +15,6 @@ from repro.sim.partitioned import (
     reassign_after_failure,
 )
 from repro.sim.quantum import simulate_pfair
-from repro.sim.uniproc import UniTask
 from repro.workload.spec import TaskSpec
 
 

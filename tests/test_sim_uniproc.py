@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.uniproc import (
+from repro.core.uniproc import (
     CBSServer,
     UniprocSimulator,
     UniTask,

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.core.events import EventQueue
+from repro.core.metrics import DeadlineMiss, SimStats, TaskStats
 from repro.core.task import PeriodicTask
-from repro.sim.engine import EventQueue
-from repro.sim.metrics import DeadlineMiss, SimStats, TaskStats
+from repro.core.trace import ScheduleTrace, render_schedule, render_windows
 from repro.sim.quantum import simulate_pfair
-from repro.sim.trace import ScheduleTrace, render_schedule, render_windows
 from repro.sim.validate import (
     ValidationError,
     check_erfair_lags,

@@ -3,8 +3,8 @@
 The heavy three-way decision-identity coverage lives in
 ``test_fastpath_differential.py``; this file pins down the kernel's
 *edges*: the ``supports`` gates, the dispatcher fallback chain and its
-toggles, constructor validation, and the degenerate horizons the
-vectorized paths must not mishandle.
+per-call tier keywords, constructor validation, and the degenerate
+horizons the vectorized paths must not mishandle.
 """
 
 import pytest
@@ -17,19 +17,11 @@ from repro.sim.vector import (
     VectorPD2Simulator,
     supports,
 )
-from repro.util.toggles import set_fastpath, set_vector
 
 
 def _tasks():
     return [PeriodicTask(e, p, task_id=i)
             for i, (e, p) in enumerate([(1, 3), (2, 5), (1, 4)])]
-
-
-@pytest.fixture(autouse=True)
-def _reset_toggles():
-    yield
-    set_fastpath(None)
-    set_vector(None)
 
 
 class TestSupports:
@@ -85,15 +77,27 @@ class TestDispatch:
         res = simulate_pfair(_tasks(), 2, 50, EPDFPriority())
         assert res.policy_name == "EPDF"
 
-    def test_no_vector_toggle_skips_vector_tier(self):
-        set_vector(False)
-        res = simulate_pfair(_tasks(), 2, 50)
+    def test_vector_false_lands_on_fastpath(self, monkeypatch):
+        # vector=False skips only the vector tier: a configuration both
+        # accelerated kernels support must run on the fastpath.
+        import repro.sim.fastpath as fp_mod
+
+        ran = []
+        real_run = fp_mod.FastPD2Simulator.run
+
+        def run(self, horizon):
+            ran.append(horizon)
+            return real_run(self, horizon)
+
+        monkeypatch.setattr(fp_mod.FastPD2Simulator, "run", run)
+        res = simulate_pfair(_tasks(), 2, 50, vector=False)
+        assert ran == [50]
         ref = QuantumSimulator(_tasks(), 2).run(50)
         assert res.stats == ref.stats
 
-    def test_no_fastpath_toggle_disables_vector_too(self, monkeypatch):
-        # --no-fastpath means reference-only: the vector tier must not
-        # even be consulted when the fast path toggle is off.
+    def test_fastpath_false_never_consults_vector_supports(self, monkeypatch):
+        # fastpath=False means reference-only: the vector tier must not
+        # even be consulted.
         import repro.sim.vector as vec_mod
 
         calls = []
@@ -101,19 +105,10 @@ class TestDispatch:
         monkeypatch.setattr(
             vec_mod, "supports",
             lambda *a: (calls.append(a), real(*a))[1])
-        set_fastpath(False)
-        res = simulate_pfair(_tasks(), 2, 50)
+        res = simulate_pfair(_tasks(), 2, 50, fastpath=False)
         assert not calls
         ref = QuantumSimulator(_tasks(), 2).run(50)
         assert res.stats == ref.stats
-
-    def test_env_toggle(self, monkeypatch):
-        from repro.util.toggles import vector_enabled
-
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        assert not vector_enabled()
-        monkeypatch.setenv("REPRO_NO_VECTOR", "0")
-        assert vector_enabled()
 
 
 class TestConstruction:

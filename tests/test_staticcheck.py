@@ -194,12 +194,12 @@ class TestDeterminism:
         assert run_checks(root, select=["R002"]).ok
 
     def test_out_of_scope_packages_may_read_the_environment(self, tmp_path):
-        # util/toggles.py is the sanctioned read point; the whole util
-        # package (and the app shell) sits outside the R002 scope.
-        root = make_tree(tmp_path, {"util/toggles.py": (
+        # The whole util package (and the app shell) sits outside the
+        # R002 scope.
+        root = make_tree(tmp_path, {"util/settings.py": (
             "import os\n"
-            "def fastpath_enabled():\n"
-            "    return os.getenv('REPRO_NO_FASTPATH') is None\n"
+            "def feature_enabled():\n"
+            "    return os.getenv('REPRO_FEATURE') is None\n"
         )})
         assert run_checks(root, select=["R002"]).ok
 
@@ -277,7 +277,7 @@ class TestLayering:
         root = make_tree(tmp_path, {
             "sim/run.py": ("from ..core.task import PfairTask\n"
                            "from ..workload import generator\n"
-                           "import repro.util.toggles\n"),
+                           "import repro.util.lru\n"),
         })
         assert run_checks(root, select=["R003"]).ok
 
