@@ -202,7 +202,7 @@ def test_real_vs_synthetic(benchmark, quick):
 
     if quick:
         write_report("traces_real_vs_synthetic.txt", table +
-                     "\n\n[--quick mode: reduced horizon; committed "
+                     "\n\n[--quick mode: reduced horizon; "
                      "BENCH_traces.json untouched]")
         return
 

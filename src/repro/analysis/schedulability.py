@@ -38,6 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..overheads.inflation import pd2_inflate_set
 from ..overheads.model import OverheadModel
+from ..partition.bins import SCALE_BITS
 from ..partition.heuristics import PartitionFailure
 from ..partition.partitioner import edf_ff
 from ..util.lru import LRUCache
@@ -103,11 +104,42 @@ def task_set_cache_key(specs: Sequence[TaskSpec],
 
 
 _UNSET = object()  # "caller did not precompute" sentinel (None is a value)
+_ONE = 1 << SCALE_BITS
+
+
+def _rounded(lo: int, hi: int) -> Optional[float]:
+    """``float(x)`` of the exact ``x`` with ``lo <= x·2**SCALE_BITS <=
+    hi``, or ``None`` when the two bounds round to different floats.
+
+    int/int true division is correctly rounded and rounding is monotone,
+    so bounds that round alike pin the exact value's rounding too.
+    """
+    f = lo / _ONE
+    return f if f == hi / _ONE else None
+
+
+def _ceil_scaled(lo: int, hi: int) -> Optional[int]:
+    """``ceil(x)`` for ``lo <= x·2**SCALE_BITS <= hi``, or ``None`` when
+    the bounds straddle an integer."""
+    c = -(-lo >> SCALE_BITS)
+    return c if c == -(-hi >> SCALE_BITS) else None
+
+
+def _utilization_bounds(specs: Sequence[TaskSpec]) -> Tuple[int, int]:
+    """``(lo, hi)`` with ``lo <= U·2**SCALE_BITS <= hi`` for the raw total
+    utilization ``U``: one small division per task instead of the exact
+    sum, whose denominator is the product of every period."""
+    lo = hi = 0
+    for s in specs:
+        q, r = divmod(s.execution << SCALE_BITS, s.period)
+        lo += q
+        hi += q + 1 if r else q
+    return lo, hi
 
 
 def _pd2_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
                   cap: int, digest: object = _UNSET,
-                  u_total: Optional[Fraction] = None
+                  u_ceil: Optional[int] = None
                   ) -> Tuple[Optional[int], Optional[float], int]:
     """The PD² search, cached: ``(m, inflated total weight at m, max
     fixed-point iterations at m)``, with ``m = None`` when no M up to
@@ -116,8 +148,8 @@ def _pd2_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
     One search serves both :func:`pd2_min_processors` (which wants ``m``)
     and :func:`evaluate_task_set` (which previously re-inflated the whole
     set at ``m`` a second time for the Fig. 4 loss terms).
-    ``digest`` / ``u_total`` let callers that already computed the cache
-    key or the exact total utilization pass them in.
+    ``digest`` / ``u_ceil`` let callers that already computed the cache
+    key or ``ceil`` of the raw total utilization pass them in.
     """
     ckey = None
     if digest is _UNSET:
@@ -128,8 +160,10 @@ def _pd2_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
         if hit is not None:
             return hit
     result: Tuple[Optional[int], Optional[float], int] = (None, None, 0)
-    u_raw = total_utilization(specs) if u_total is None else u_total
-    m = max(1, -(-u_raw.numerator // u_raw.denominator))  # ceil
+    if u_ceil is None:
+        u_raw = total_utilization(specs)
+        u_ceil = -(-u_raw.numerator // u_raw.denominator)
+    m = max(1, u_ceil)
     while m <= cap:
         inflations = pd2_inflate_set(specs, model, m)
         # One pass: feasibility, the exact total weight (unnormalised
@@ -189,8 +223,14 @@ def _edf_ff_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
     try:
         packing = edf_ff(specs,
                          overhead_inflation=model.edf_fixed_inflation(len(specs)))
+        # The float of the packed load, from the bins' spare bounds; the
+        # exact sum (a product of every bin's denominator) only when the
+        # bounds round apart.
+        load = _rounded(*packing.partition.load_bounds())
+        if load is None:
+            load = float(packing.partition.total_load())
         result: Tuple[Optional[int], Optional[float]] = (
-            packing.processors, float(packing.partition.total_load()))
+            packing.processors, load)
     except PartitionFailure:
         result = (None, None)
     if ckey is not None:
@@ -250,12 +290,19 @@ def evaluate_task_set(specs: Sequence[TaskSpec],
     — the inflated totals fall straight out of the searches, so nothing
     is computed twice.
     """
-    u_exact = total_utilization(specs)
-    u_raw = float(u_exact)
+    # float(U) and ceil(U) from fixed-point bounds on the raw total U;
+    # the exact sum only for whichever of the two the bounds leave open.
+    lo, hi = _utilization_bounds(specs)
+    u_raw = _rounded(lo, hi)
+    u_ceil = _ceil_scaled(lo, hi)
+    if u_raw is None or u_ceil is None:
+        u_exact = total_utilization(specs)
+        u_raw = float(u_exact)
+        u_ceil = -(-u_exact.numerator // u_exact.denominator)
     if specs:
         digest = task_set_cache_key(specs, model)
         m_pd2, u_pd2, iters = _pd2_analysis(specs, model, len(specs),
-                                            digest, u_exact)
+                                            digest, u_ceil)
         m_ff, u_edf = _edf_ff_analysis(specs, model, digest)
     else:
         m_pd2, u_pd2, iters = 1, 0.0, 0

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..workload.spec import TaskSpec
-from .bins import ProcessorBin
+from .bins import BLOCK, SCALE_BITS, BinScan, ProcessorBin
 
 __all__ = [
     "AcceptanceTest",
@@ -77,32 +77,84 @@ class AcceptanceTest:
         return None
 
 
+_ORDER_ERROR = "EDFOverheadTest requires tasks in non-increasing period order"
+
+
+def _scan(bins: Sequence[ProcessorBin], e: int, p: int, delays: bool,
+          ordered: bool) -> Optional[Tuple[ProcessorBin, _Ratio]]:
+    """First bin of ``bins`` that fits ``e' = e`` (plus the bin's max
+    cache delay when ``delays``) over period ``p``.
+
+    The spare bounds settle almost every probe with two small products;
+    only a probe between them pays for the exact cross-multiplication.
+    ``ordered`` checks the feed order of every bin probed.
+    """
+    for b in bins:
+        if ordered:
+            top = b.max_period
+            if top is not None and p > top:
+                raise ValueError(_ORDER_ERROR)
+        e_prime = e + b.max_cache_delay if delays else e
+        e_scaled = e_prime << SCALE_BITS
+        if e_scaled > b.spare_hi * p:
+            continue
+        if e_scaled <= b.spare_lo * p or b.fits_exactly(e_prime, p):
+            return b, _Ratio(e_prime, p)
+    return None
+
+
+def _first_fit(bins: Sequence[ProcessorBin], e: int, p: int, delays: bool,
+               ordered: bool) -> Optional[Tuple[ProcessorBin, _Ratio]]:
+    """The EDF first-fit scan, block-pruned over a :class:`BinScan`.
+
+    A block is skipped when even its best spare bound cannot take ``e``
+    (a lower bound on every member's ``e'``) and, under ``ordered``, no
+    member's ``max_period`` is below ``p`` — so a bin that would raise
+    the order error is never skipped.  A block scanned without a hit
+    has its spare bound tightened to its members' current maximum.
+    One block or fewer is the flat scan, with the order check lifted
+    when the block's period floor already proves it.
+    """
+    if type(bins) is not BinScan:
+        return _scan(bins, e, p, delays, ordered)
+    floors, bounds = bins.period_floor, bins.spare_bound
+    if len(bounds) <= 1:
+        return _scan(bins, e, p, delays,
+                     ordered and bool(floors) and p > floors[0])
+    e_scaled = e << SCALE_BITS
+    for k, bound in enumerate(bounds):
+        check = ordered and p > floors[k]
+        if not check and e_scaled > bound * p:
+            continue
+        block = bins[k * BLOCK:(k + 1) * BLOCK]
+        hit = _scan(block, e, p, delays, check)
+        if hit is not None:
+            return hit
+        bounds[k] = max(b.spare_hi for b in block)
+    return None
+
+
 class EDFUtilizationTest(AcceptanceTest):
     """Exact EDF test: total utilization at most 1.
 
-    The probe cross-multiplies integers — ``load + e/p <= 1`` iff
-    ``load_num * p + e * load_den <= load_den * p`` — so a failed
-    admission (the common case while first fit scans full bins) builds no
-    :class:`~fractions.Fraction` at all; the exact rational is only
-    constructed for the committed load.
+    The probe is :meth:`ProcessorBin.fits`: the bin's fixed-point spare
+    bounds settle it unless it is ambiguous, and only then is the exact
+    ``load_num * p + e * load_den <= load_den * p`` cross-multiplied.  A
+    failed admission (the common case while first fit scans full bins)
+    builds no :class:`~fractions.Fraction` at all; the exact rational is
+    only constructed for the committed load.
     """
 
     algorithm = "edf"
 
     def admit(self, bin: ProcessorBin, spec: TaskSpec) -> Optional[Fraction]:
-        num, den = bin.load_num, bin.load_den
-        if num * spec.period + spec.execution * den > den * spec.period:
+        if not bin.fits(spec.execution, spec.period):
             return None
         return spec.utilization
 
     def first_fit(self, bins: Sequence[ProcessorBin], spec: TaskSpec
                   ) -> Optional[Tuple[ProcessorBin, Fraction]]:
-        e, p = spec.execution, spec.period
-        for b in bins:
-            num, den = b.load_num, b.load_den
-            if num * p + e * den <= den * p:
-                return b, _Ratio(e, p)
-        return None
+        return _first_fit(bins, spec.execution, spec.period, False, False)
 
 
 class EDFOverheadTest(AcceptanceTest):
@@ -112,10 +164,10 @@ class EDFOverheadTest(AcceptanceTest):
     ticks; the cache term is the bin's current ``max_cache_delay``.
 
     Correctness requires feeding tasks in *non-increasing period order*
-    (asserted): then every task already in the bin has a period at least as
-    large as the newcomer's, i.e. is exactly the set ``P_T`` the newcomer
-    can preempt, and no later admission retroactively changes an earlier
-    task's inflation.
+    (a ``ValueError`` otherwise): then every task already in the bin has
+    a period at least as large as the newcomer's, i.e. is exactly the set
+    ``P_T`` the newcomer can preempt, and no later admission
+    retroactively changes an earlier task's inflation.
     """
 
     algorithm = "edf"
@@ -129,42 +181,19 @@ class EDFOverheadTest(AcceptanceTest):
         return spec.execution + self.fixed_inflation + bin.max_cache_delay
 
     def admit(self, bin: ProcessorBin, spec: TaskSpec) -> Optional[Fraction]:
-        # bin.max_period is maintained by ProcessorBin.add, replacing the
-        # previous O(|bin|) max() scan on every probe.
         if bin.max_period is not None and spec.period > bin.max_period:
-            raise ValueError(
-                "EDFOverheadTest requires tasks in non-increasing period order"
-            )
+            raise ValueError(_ORDER_ERROR)
         e_prime = spec.execution + self.fixed_inflation + bin.max_cache_delay
-        if e_prime > spec.period:
-            return None
-        # Integer cross-multiplied probe (see EDFUtilizationTest): the
-        # Fraction is only built when the admission succeeds.
-        num, den = bin.load_num, bin.load_den
-        if num * spec.period + e_prime * den > den * spec.period:
+        if e_prime > spec.period or not bin.fits(e_prime, spec.period):
             return None
         return Fraction(e_prime, spec.period)
 
     def first_fit(self, bins: Sequence[ProcessorBin], spec: TaskSpec
                   ) -> Optional[Tuple[ProcessorBin, Fraction]]:
-        # The inlined body of admit, once per bin without the method-call
-        # overhead — Fig. 3 campaigns spend most of their EDF-side time in
-        # exactly this scan.
-        e, p = spec.execution, spec.period
-        fixed = self.fixed_inflation
-        for b in bins:
-            if b.max_period is not None and p > b.max_period:
-                raise ValueError(
-                    "EDFOverheadTest requires tasks in non-increasing "
-                    "period order"
-                )
-            e_prime = e + fixed + b.max_cache_delay
-            if e_prime > p:
-                continue
-            num, den = b.load_num, b.load_den
-            if num * p + e_prime * den <= den * p:
-                return b, _Ratio(e_prime, p)
-        return None
+        # e + 2(S_EDF + C) is every bin's e' less its cache term, so it
+        # is the lower bound the block pruning tests.
+        return _first_fit(bins, spec.execution + self.fixed_inflation,
+                          spec.period, True, True)
 
 
 def _ll_bound(n: int) -> float:

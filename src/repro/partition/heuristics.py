@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ..workload.spec import TaskSpec
 from .accept import AcceptanceTest, EDFUtilizationTest
-from .bins import Partition, ProcessorBin
+from .bins import BinScan, Partition, ProcessorBin
 
 __all__ = [
     "PLACEMENTS",
@@ -164,7 +164,9 @@ def partition(specs: Sequence[TaskSpec], *,
         accept = EDFUtilizationTest()
     part = Partition()
     ordered = order_fn(specs)
-    bins = part.bins          # stable list identity; new_bin appends to it
+    # First fit scans the same bins as part.bins, plus the per-block
+    # summary the EDF scans prune with; it lives with this one packing.
+    scan = BinScan()
     is_ff = place_fn is _place_ff
     ff_scan = accept.first_fit
     for spec in ordered:
@@ -174,7 +176,7 @@ def partition(specs: Sequence[TaskSpec], *,
         # to probing every bin and discarding the unused answers.  Best
         # and worst fit genuinely need every admission.
         if is_ff:
-            chosen = ff_scan(bins, spec)
+            chosen = ff_scan(scan, spec)
         elif place_fn is _place_nf:
             chosen = None
             if part.bins:
@@ -193,6 +195,7 @@ def partition(specs: Sequence[TaskSpec], *,
                 # Not schedulable even alone (e.g. inflated cost > period).
                 raise PartitionFailure(spec, part)
             b.add(spec, u)
+            scan.open(b)
         else:
             b, u = chosen
             b.add(spec, u)

@@ -98,13 +98,14 @@ class OnlinePartitioner:
     """First-fit admission control over a fixed processor count.
 
     Joins try the existing bins in index order (classic online FF); leaves
-    remove the task and refund its committed utilization.  For the
-    overhead-aware EDF test, online joins violate the decreasing-period
-    discipline the static packer enjoys, so this class (faithfully to an
-    online system) recomputes the *bin-wide* inflation pessimistically: a
-    newcomer is charged the bin's max cache delay regardless of period
-    order, and residents are not re-inflated.  ``repartition`` redoes the
-    full static packing.
+    remove the task, refund its committed utilization and recompute the
+    bin's cache-delay and period bookkeeping from the tasks that remain,
+    so an emptied bin accepts any task again.  The overhead-aware EDF
+    test keeps its static feed-order discipline online: a join probing a
+    bin that holds a shorter-period task raises ``ValueError`` (Eq. (3)
+    would have to re-inflate the resident), and an admitted newcomer is
+    charged the bin's max cache delay.  ``repartition`` redoes the full
+    static packing.
     """
 
     def __init__(self, processors: int, *,
@@ -149,6 +150,8 @@ class OnlinePartitioner:
                     b.max_cache_delay = max(
                         (t.cache_delay for t in b.tasks), default=0)
                     b.min_period = min(
+                        (t.period for t in b.tasks), default=None)
+                    b.max_period = max(
                         (t.period for t in b.tasks), default=None)
                     return
         raise AssertionError("committed task missing from all bins")

@@ -101,4 +101,5 @@ def reassign_after_failure(partition: Partition, failed: int, *,
     victim.load = Fraction(0)
     victim.max_cache_delay = 0
     victim.min_period = None
+    victim.max_period = None
     return (not orphans), orphans

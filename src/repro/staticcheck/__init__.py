@@ -15,8 +15,10 @@ Rules (see :mod:`repro.staticcheck.rules` and docs/STATIC_ANALYSIS.md):
   in the vectorized kernel (``sim/vector.py``) is gated to integer
   dtypes.
 * **R002 determinism** — no seedless RNGs, wall-clock reads, or
-  environment reads in ``core/`` + ``sim/`` (configuration is passed
-  as explicit parameters).
+  environment reads in ``core/``, ``sim/``, ``campaign/``, ``distrib/``
+  and ``traces/`` (configuration is passed as explicit parameters; the
+  campaign runner and the three process-facing ``distrib`` files may
+  read clocks).
 * **R003 layering** — the import DAG ``util → core → workload →
   overheads/partition → sim → … → analysis/service`` admits no upward
   imports and no package cycles.

@@ -2,7 +2,8 @@
 
 These generate *feasible* task systems — the precondition of every
 optimality theorem — so properties read as "for all feasible systems,
-PD² produces a valid Pfair schedule".
+PD² produces a valid Pfair schedule" — and named ``TaskSpec`` sets for
+the partitioning property tests.
 """
 
 from math import lcm
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core.rational import Weight, weight_sum
 from repro.core.task import PeriodicTask
+from repro.workload.spec import TaskSpec
 
-__all__ = ["weights", "feasible_task_systems"]
+__all__ = ["weights", "feasible_task_systems", "task_specs"]
 
 #: A single integer weight (e, p) with small periods (keeps lcm horizons
 #: tractable inside hypothesis deadlines).
@@ -45,3 +47,16 @@ def feasible_task_systems(draw, max_processors: int = 3, max_tasks: int = 8,
         tasks = [PeriodicTask(1, max_period)]
     horizon = min(lcm(*(t.period for t in tasks)) * 2, 300)
     return tasks, processors, horizon
+
+
+def task_specs(min_period: int, max_period: int, min_size: int,
+               max_size: int):
+    """Lists of uniquely named ``TaskSpec`` with ``e <= p / 2`` (so small
+    Eq. (3) inflations keep every task feasible alone) and cache delays
+    in ``[0, 3]``."""
+    task = st.integers(min_period, max_period).flatmap(
+        lambda p: st.tuples(st.integers(1, max(1, p // 2)), st.just(p),
+                            st.integers(0, 3)))
+    return st.lists(task, min_size=min_size, max_size=max_size).map(
+        lambda ts: [TaskSpec(e, p, name=f"t{i:04d}", cache_delay=d)
+                    for i, (e, p, d) in enumerate(ts)])

@@ -367,3 +367,88 @@ class TestOnlinePartitioner:
         # ...but FFD repacking gives bins 1.0 and 0.5, making room.
         assert op.repartition()
         assert op.try_join(spec(1, 2, "big")) is not None
+
+
+class TestOnlineOverheadBookkeeping:
+    """``leave`` and failure reassignment must reset every per-bin
+    field the overhead-aware EDF test reads, or an emptied bin keeps
+    rejecting tasks by a period bound no resident imposes."""
+
+    def test_leave_resets_max_period(self):
+        op = OnlinePartitioner(1, accept=EDFOverheadTest(0))
+        assert op.try_join(spec(1, 1000, "short")) == 0
+        op.leave("short")
+        assert op.partition.bins[0].max_period is None
+        assert op.try_join(spec(1, 2000, "long")) == 0
+
+    def test_leave_keeps_remaining_residents_period_bound(self):
+        op = OnlinePartitioner(1, accept=EDFOverheadTest(0))
+        assert op.try_join(spec(1, 3000, "a")) == 0
+        assert op.try_join(spec(1, 1000, "b")) == 0
+        op.leave("a")
+        assert op.partition.bins[0].max_period == 1000
+        with pytest.raises(ValueError, match="non-increasing period"):
+            op.try_join(spec(1, 2000, "c"))
+
+    def test_out_of_order_join_raises(self):
+        # The class docstring's contract: out-of-order joins under the
+        # overhead-aware test are refused loudly, not charged silently.
+        op = OnlinePartitioner(2, accept=EDFOverheadTest(0))
+        assert op.try_join(spec(1, 1000, "a")) == 0
+        with pytest.raises(ValueError):
+            op.try_join(spec(1, 2000, "b"))
+
+    def test_failure_reassignment_resets_victim(self):
+        from repro.sim.partitioned import reassign_after_failure
+
+        part = first_fit([spec(1, 2, "a"), spec(1, 2, "b"),
+                          spec(3, 4, "c")]).partition
+        ok, orphans = reassign_after_failure(part, 1)
+        victim = part.bins[1]
+        assert not ok and [t.name for t in orphans] == ["c"]
+        assert victim.load == 0 and victim.max_period is None
+        assert victim.min_period is None and victim.max_cache_delay == 0
+        # The emptied bin admits again, with the spare it really has.
+        assert EDFOverheadTest(0).admit(victim, spec(1, 5000)) is not None
+
+
+class TestPeriodOrderCheck:
+    """``EDFOverheadTest`` raises on a task whose period exceeds a
+    probed resident's — through ``admit`` and through ``first_fit``,
+    including when the offending bin sits in a block that the spare
+    bound alone would let the scan skip."""
+
+    def test_admit_raises(self):
+        b = ProcessorBin(0)
+        b.add(spec(1, 10), Fraction(1, 10))
+        with pytest.raises(ValueError, match="non-increasing period"):
+            EDFOverheadTest(0).admit(b, spec(1, 20))
+
+    def test_first_fit_raises_on_plain_list(self):
+        b = ProcessorBin(0)
+        b.add(spec(1, 10), Fraction(1, 10))
+        with pytest.raises(ValueError, match="non-increasing period"):
+            EDFOverheadTest(0).first_fit([b], spec(1, 20))
+
+    def test_first_fit_raises_in_a_full_block(self):
+        from repro.partition.bins import BLOCK, BinScan
+
+        scan = BinScan()
+        accept = EDFOverheadTest(0)
+        for i in range(3 * BLOCK):
+            b = ProcessorBin(i)
+            b.add(spec(10, 10), accept.admit(b, spec(10, 10)))
+            scan.open(b)
+        # Every block is full: its spare bound alone says "skip".
+        assert scan.spare_bound == [0, 0, 0]
+        with pytest.raises(ValueError, match="non-increasing period"):
+            accept.first_fit(scan, spec(1, 20))
+        # In order, the same scan passes every block without a probe
+        # reaching the exact test.
+        assert accept.first_fit(scan, spec(1, 10)) is None
+
+    def test_partition_given_order_raises_past_many_full_bins(self):
+        specs = [spec(10, 10, f"f{i}") for i in range(40)] + \
+            [spec(1, 20, "late")]
+        with pytest.raises(ValueError, match="non-increasing period"):
+            partition(specs, ordering="given", accept=EDFOverheadTest(0))
